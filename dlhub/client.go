@@ -441,7 +441,7 @@ type TaskEvent struct {
 // StreamTask subscribes to a task's SSE stream and blocks until the
 // task completes, ctx ends, or the stream fails. Each event is passed
 // to onEvent (may be nil); the terminal state is returned. It replaces
-// the v1 poll loop — one request, no polling interval to tune.
+// status polling — one request, no polling interval to tune.
 func (c *Client) StreamTask(ctx context.Context, taskID string, onEvent func(TaskEvent)) (*TaskStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/v2/tasks/"+taskID+"/events", nil)
 	if err != nil {

@@ -325,7 +325,7 @@ func (c *Client) doOnce(req *http.Request, out any) error {
 		RequestID string `json:"request_id"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &env); err != nil || (env.Data == nil && env.Error == nil && env.RequestID == "") {
-		// Not an envelope (proxy error page, v1 server...).
+		// Not an envelope (proxy error page, plain-text 404...).
 		if resp.StatusCode/100 != 2 {
 			return &APIError{Status: resp.StatusCode, Code: "unknown", Message: string(bytes.TrimSpace(buf.Bytes()))}
 		}

@@ -178,10 +178,9 @@ func (a *autoscaler) setPolicy(servableID string, p AutoscalePolicy) error {
 	return nil
 }
 
-// policies snapshots the installed policies for persistence
-// (checkpoint capture and the snapshot file). Entries that exist only
-// as rejection counters (zero policy, never set) are skipped — they
-// are stats, not configuration.
+// policies snapshots the installed policies for checkpoint capture.
+// Entries that exist only as rejection counters (zero policy, never
+// set) are skipped — they are stats, not configuration.
 func (a *autoscaler) policies() map[string]AutoscalePolicy {
 	a.mu.Lock()
 	defer a.mu.Unlock()

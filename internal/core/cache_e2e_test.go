@@ -1,10 +1,8 @@
 package core_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -362,15 +360,9 @@ func TestCacheHTTPHeaderAndStats(t *testing.T) {
 
 	post := func(body map[string]any) (*http.Response, map[string]any) {
 		t.Helper()
-		data, _ := json.Marshal(body)
-		resp, err := srv.Client().Post(srv.URL+"/api/run/"+id, "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		resp, env := doV2(t, http.MethodPost, srv.URL+"/api/v2/servables/"+id+"/run", body, nil)
 		var out map[string]any
-		json.Unmarshal(raw, &out) //nolint:errcheck
+		json.Unmarshal(env.Data, &out) //nolint:errcheck
 		return resp, out
 	}
 
@@ -401,12 +393,7 @@ func TestCacheHTTPHeaderAndStats(t *testing.T) {
 	}
 	pipeRun := func() *http.Response {
 		t.Helper()
-		pdata, _ := json.Marshal(map[string]any{"input": "x"})
-		presp, err := srv.Client().Post(srv.URL+"/api/run/"+pipeID, "application/json", bytes.NewReader(pdata))
-		if err != nil {
-			t.Fatal(err)
-		}
-		presp.Body.Close()
+		presp, _ := doV2(t, http.MethodPost, srv.URL+"/api/v2/servables/"+pipeID+"/run", map[string]any{"input": "x"}, nil)
 		return presp
 	}
 	if got := pipeRun().Header.Get(core.CacheHeader); got != "miss" {
@@ -418,26 +405,17 @@ func TestCacheHTTPHeaderAndStats(t *testing.T) {
 
 	// Stats endpoint: 1 plain hit + 1 step hit on the first pipeline
 	// run + 2 step hits on the repeat; entries for the two step keys.
-	sresp, err := srv.Client().Get(srv.URL + "/api/cache/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
 	var stats struct {
 		Enabled bool            `json:"enabled"`
 		Stats   core.CacheStats `json:"stats"`
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	v2OK(t, http.MethodGet, srv.URL+"/api/v2/cache/stats", nil, &stats)
 	if !stats.Enabled || stats.Stats.Hits != 4 || stats.Stats.Entries != 2 {
 		t.Fatalf("stats endpoint wrong: %+v", stats)
 	}
 
 	// Flush wipes entries but keeps counters.
-	if _, err := srv.Client().Post(srv.URL+"/api/cache/flush", "application/json", nil); err != nil {
-		t.Fatal(err)
-	}
+	v2OK(t, http.MethodPost, srv.URL+"/api/v2/cache/flush", nil, nil)
 	if st := ms.CacheStats(); st.Entries != 0 || st.Hits != 4 {
 		t.Fatalf("flush wrong: %+v", st)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -371,72 +372,58 @@ func TestRESTAPIEndToEnd(t *testing.T) {
 	tb := newTB(t, bench.Options{})
 	srv := httptest.NewServer(tb.MS.Handler())
 	defer srv.Close()
-	client := srv.Client()
+	api := srv.URL + "/api/v2"
 
 	// Publish via REST.
 	pkg := servable.NoopPackage()
 	var pubResp map[string]string
 	docJSON, _ := rpc.EncodeJSON(pkg.Doc)
-	err := rpc.PostJSON(client, srv.URL+"/api/publish", map[string]any{"document": rawJSON(docJSON)}, &pubResp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2OK(t, http.MethodPost, api+"/servables", map[string]any{"document": rawJSON(docJSON)}, &pubResp)
 	id := pubResp["id"]
 	if id != "anonymous/noop" {
 		t.Fatalf("bad id %q", id)
 	}
 
 	// Deploy via REST.
-	if err := rpc.PostJSON(client, srv.URL+"/api/deploy/"+id, map[string]any{"replicas": 1}, nil); err != nil {
-		t.Fatal(err)
-	}
+	v2OK(t, http.MethodPost, api+"/servables/"+id+"/deploy", map[string]any{"replicas": 1}, nil)
 
 	// Run via REST.
 	var runResp struct {
 		Output    any   `json:"output"`
 		RequestUS int64 `json:"request_us"`
 	}
-	if err := rpc.PostJSON(client, srv.URL+"/api/run/"+id, map[string]any{"input": "hi"}, &runResp); err != nil {
-		t.Fatal(err)
-	}
+	v2OK(t, http.MethodPost, api+"/servables/"+id+"/run", map[string]any{"input": "hi"}, &runResp)
 	if runResp.Output != "hello world" || runResp.RequestUS <= 0 {
 		t.Fatalf("REST run wrong: %+v", runResp)
 	}
 
 	// Search via REST.
-	var searchResp core.SearchResponse
-	if err := rpc.PostJSON(client, srv.URL+"/api/search", map[string]any{"q": "hello baseline"}, &searchResp); err != nil {
-		t.Fatal(err)
-	}
+	var searchResp core.SearchPageV2
+	v2OK(t, http.MethodPost, api+"/search", map[string]any{"q": "hello baseline"}, &searchResp)
 	if searchResp.Total != 1 {
 		t.Fatalf("REST search wrong: %+v", searchResp)
 	}
 
 	// Get doc + dockerfile via REST.
 	var doc map[string]any
-	if err := rpc.GetJSON(client, srv.URL+"/api/servables/"+id, &doc); err != nil {
-		t.Fatal(err)
+	v2OK(t, http.MethodGet, api+"/servables/"+id, nil, &doc)
+	if doc["id"] != id {
+		t.Fatalf("REST get wrong: %v", doc)
 	}
 	var df map[string]string
-	if err := rpc.GetJSON(client, srv.URL+"/api/servables/"+id+"/dockerfile", &df); err != nil {
-		t.Fatal(err)
-	}
+	v2OK(t, http.MethodGet, api+"/servables/"+id+"/dockerfile", nil, &df)
 	if !strings.Contains(df["dockerfile"], "dlhub_sdk") {
 		t.Fatalf("dockerfile should list dlhub deps: %s", df["dockerfile"])
 	}
 
 	// Async via REST.
 	var asyncResp map[string]string
-	if err := rpc.PostJSON(client, srv.URL+"/api/run/"+id, map[string]any{"input": "x", "async": true}, &asyncResp); err != nil {
-		t.Fatal(err)
-	}
+	v2OK(t, http.MethodPost, api+"/servables/"+id+"/run", map[string]any{"input": "x", "async": true}, &asyncResp)
 	taskID := asyncResp["task_id"]
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var st core.AsyncTask
-		if err := rpc.GetJSON(client, srv.URL+"/api/status/"+taskID, &st); err != nil {
-			t.Fatal(err)
-		}
+		v2OK(t, http.MethodGet, api+"/tasks/"+taskID, nil, &st)
 		if st.Status == "completed" {
 			break
 		}
@@ -447,9 +434,9 @@ func TestRESTAPIEndToEnd(t *testing.T) {
 	}
 
 	// Unknown servable is a 404.
-	err = rpc.PostJSON(client, srv.URL+"/api/run/ghost/model", map[string]any{"input": 1}, nil)
-	if err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("want 404, got %v", err)
+	resp, env := doV2(t, http.MethodPost, api+"/servables/ghost/model/run", map[string]any{"input": 1}, nil)
+	if resp.StatusCode != http.StatusNotFound || env.Error == nil {
+		t.Fatalf("want 404, got %d %+v", resp.StatusCode, env.Error)
 	}
 }
 

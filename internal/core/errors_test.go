@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// sentinels enumerates every Err* value; the tests derive their tables
+// from it so a new sentinel cannot be forgotten.
+var sentinels = []*Error{
+	ErrBadRequest, ErrUnauthorized, ErrForbidden, ErrNotFound,
+	ErrTaskNotFound, ErrConflict, ErrNoTaskManager, ErrTimeout,
+	ErrCanceled, ErrTaskFailed, ErrOverloaded, ErrQuotaExceeded,
+	ErrUpstream, ErrInternal,
+}
+
 // TestSentinelStatusTable pins the HTTP status of every Err* sentinel:
 // the table IS the API contract, so any addition or change must be
 // deliberate.
@@ -32,12 +41,12 @@ func TestSentinelStatusTable(t *testing.T) {
 		t.Fatalf("test covers %d sentinels, package declares %d — update both", len(want), len(sentinels))
 	}
 	for sentinel, status := range want {
-		if got := ErrorStatus(sentinel); got != status {
+		if got := Classify(sentinel).HTTPStatus; got != status {
 			t.Errorf("%s: status %d, want %d", sentinel.Code, got, status)
 		}
 		// Wrapping with context must not change the mapping.
 		wrapped := fmt.Errorf("%w: extra detail", sentinel)
-		if got := ErrorStatus(wrapped); got != status {
+		if got := Classify(wrapped).HTTPStatus; got != status {
 			t.Errorf("%s wrapped: status %d, want %d", sentinel.Code, got, status)
 		}
 	}

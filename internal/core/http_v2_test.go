@@ -66,6 +66,21 @@ func doV2(t *testing.T, method, url string, body any, headers map[string]string)
 	return resp, env
 }
 
+// v2OK calls a v2 route that must succeed and decodes the envelope's
+// data into out (when non-nil).
+func v2OK(t *testing.T, method, url string, body, out any) {
+	t.Helper()
+	resp, env := doV2(t, method, url, body, nil)
+	if resp.StatusCode >= 300 || env.Error != nil {
+		t.Fatalf("%s %s: status %d, error %+v", method, url, resp.StatusCode, env.Error)
+	}
+	if out != nil {
+		if err := json.Unmarshal(env.Data, out); err != nil {
+			t.Fatalf("%s %s: bad data: %v", method, url, err)
+		}
+	}
+}
+
 func TestV2EnvelopeAndRequestID(t *testing.T) {
 	_, srv := v2TB(t)
 	resp, env := doV2(t, http.MethodGet, srv.URL+"/api/v2/healthz", nil, nil)
@@ -386,77 +401,6 @@ scan:
 	if respErr.StatusCode != http.StatusNotFound || errEnv.Error == nil || errEnv.Error.Code != string(core.CodeTaskNotFound) {
 		t.Fatalf("ghost task events: %d %+v", respErr.StatusCode, errEnv.Error)
 	}
-}
-
-// TestV1CompatRoutes locks the v1 surface: same paths, same unenveloped
-// shapes, now served as shims over the context-first core.
-func TestV1CompatRoutes(t *testing.T) {
-	tb, srv := v2TB(t)
-	id, err := tb.MS.Publish(t.Context(), core.Anonymous, servable.NoopPackage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.MS.Deploy(t.Context(), core.Anonymous, id, 1, "parsl"); err != nil {
-		t.Fatal(err)
-	}
-
-	// v1 run: bare RunResult, no envelope.
-	body, _ := json.Marshal(map[string]any{"input": "x"})
-	resp, err := http.Post(srv.URL+"/api/run/"+id, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 run status %d: %s", resp.StatusCode, raw)
-	}
-	var v1res struct {
-		Output    any    `json:"output"`
-		RequestID string `json:"request_id"`
-	}
-	if err := json.Unmarshal(raw, &v1res); err != nil {
-		t.Fatal(err)
-	}
-	if v1res.Output != "hello world" {
-		t.Fatalf("v1 run output %v", v1res.Output)
-	}
-	if v1res.RequestID != "" {
-		t.Fatal("v1 response must not grow envelope fields")
-	}
-
-	// v1 error shape: {"error": "..."} with the table-driven status.
-	resp, err = http.Get(srv.URL + "/api/servables/ghost/model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("v1 404 got %d", resp.StatusCode)
-	}
-	var v1err struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &v1err); err != nil || v1err.Error == "" {
-		t.Fatalf("v1 error shape broken: %s", raw)
-	}
-	// v1 status poll still works.
-	taskID, err := tb.MS.RunAsync(t.Context(), core.Anonymous, id, "y", core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		resp, err := http.Get(srv.URL + "/api/status/" + taskID)
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		var st struct {
-			Status string `json:"status"`
-		}
-		return json.NewDecoder(resp.Body).Decode(&st) == nil && st.Status == "completed"
-	})
 }
 
 // TestV2IdempotencyTransientNotReplayed: transient failures (here

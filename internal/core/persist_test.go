@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,14 +16,19 @@ import (
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/servable"
+	"repro/internal/store"
 )
+
+// Checkpoint-codec coverage (persist.go): state goes out through a WAL
+// checkpoint (Checkpoint, then a kill with no shutdown step) and comes
+// back through store.Open + Recover, the server's only restore path.
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
 	// Populate a service: two servables, one with two versions and
 	// components.
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
+	ms, kill, _ := openRecovered(t, dir, 0)
 	cifar, err := servable.CIFAR10Package(1)
 	if err != nil {
 		t.Fatal(err)
@@ -38,16 +44,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := ms.Publish(context.Background(), core.Anonymous, cifar2); err != nil { // version 2
 		t.Fatal(err)
 	}
-	if err := ms.SaveSnapshot(dir); err != nil {
+	if err := ms.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ms.Close()
+	want := ms.StateFingerprint()
+	kill()
 
-	// A fresh service restores everything.
-	ms2 := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms2.Close()
-	if err := ms2.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
+	// A fresh service restores everything from the checkpoint alone.
+	ms2, _, info := openRecovered(t, dir, 0)
+	if !info.CheckpointLoaded || info.Replayed != 0 {
+		t.Fatalf("want a checkpoint-only restore, got %+v", info)
+	}
+	if got := ms2.StateFingerprint(); got != want {
+		t.Fatalf("restored state differs\n--- want\n%s--- got\n%s", want, got)
 	}
 	doc, err := ms2.Get(core.Anonymous, id1)
 	if err != nil {
@@ -70,28 +79,56 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotServesAfterRestore(t *testing.T) {
+// TestSnapshotOnlyDirectoryUpgrades pins the upgrade path from the
+// retired -snapshot mode: its directories hold repository.gob and no
+// wal.log, and must recover under -data-dir with identical state.
+func TestSnapshotOnlyDirectoryUpgrades(t *testing.T) {
 	dir := t.TempDir()
-	// Save from one deployment...
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
+	ms, kill, _ := openRecovered(t, dir, 0)
 	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.SaveSnapshot(dir); err != nil {
+	if err := ms.SetAutoscalePolicy(core.Anonymous, id, core.AutoscalePolicy{Enabled: true, MinReplicas: 1, MaxReplicas: 3}); err != nil {
 		t.Fatal(err)
 	}
-	ms.Close()
+	if err := ms.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := ms.StateFingerprint()
+	kill()
+	if err := os.Remove(filepath.Join(dir, "wal.log")); err != nil {
+		t.Fatal(err)
+	}
 
-	// ...restore into a full testbed and serve the restored servable.
-	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
+	ms2, _, info := openRecovered(t, dir, 0)
+	if !info.CheckpointLoaded {
+		t.Fatal("repository.gob not loaded as the checkpoint")
+	}
+	if got := ms2.StateFingerprint(); got != want {
+		t.Fatalf("snapshot-only directory recovered different state\n--- want\n%s--- got\n%s", want, got)
+	}
+}
+
+func TestSnapshotServesAfterRestore(t *testing.T) {
+	dir := t.TempDir()
+	// Checkpoint from one deployment...
+	ms, kill, _ := openRecovered(t, dir, 0)
+	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	kill()
+
+	// ...recover into a full testbed and serve the restored servable.
+	tb, err := bench.NewTestbed(bench.Options{Nodes: 4, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	if err := tb.MS.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
 	// The package (components included) survived, so deploy works.
 	if err := tb.MS.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err != nil {
 		t.Fatal(err)
@@ -105,88 +142,15 @@ func TestSnapshotServesAfterRestore(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotOverNonEmptyService pins the restore-over-live-state
-// contract: the search index is rebuilt from scratch (no entries
-// surviving for servables absent from the snapshot, no duplicates),
-// restored placements naming unknown TMs are dropped, and the result
-// cache is emptied.
-func TestLoadSnapshotOverNonEmptyService(t *testing.T) {
-	dir := t.TempDir()
-
-	// Build the snapshot in a full testbed so a placement is recorded
-	// (Deploy routes to the registered TM and remembers the site).
-	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-	utilID, err := tb.MS.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.MS.Deploy(context.Background(), core.Anonymous, utilID, 1, "parsl"); err != nil {
-		t.Fatal(err)
-	}
-	if got := tb.MS.Placements()[utilID]; len(got) != 1 {
-		t.Fatalf("testbed deploy recorded no placement: %v", got)
-	}
-	if err := tb.MS.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	// The target service is NOT empty: it has its own publication (not
-	// in the snapshot), a warm cache entry would live here too.
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
-	if _, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	// The pre-load publication is gone from the repository AND from the
-	// index: a search for it must find nothing, not a ghost hit.
-	res, _ := ms.Search(context.Background(), core.Anonymous, search.Query{Must: []search.Clause{{FreeText: "noop baseline"}}})
-	if res.Total != 0 {
-		t.Fatalf("stale index entry survived the load: %d hits", res.Total)
-	}
-	// The restored publication is indexed exactly once.
-	res, _ = ms.Search(context.Background(), core.Anonymous, search.Query{})
-	if res.Total != 1 {
-		t.Fatalf("index should hold exactly the snapshot's 1 doc, got %d", res.Total)
-	}
-	// Placements are restored verbatim: at boot-time restore no TM has
-	// registered yet, so dropping unknown-TM placements here would drop
-	// everything on every restart. Routing (pickTM) is what ignores
-	// placements naming unregistered TMs — see the ghost-routing test.
-	if got := ms.Placements()[utilID]; len(got) != 1 {
-		t.Fatalf("restored placement lost: %v", got)
-	}
-	// Loading into a service that DOES know the TM keeps the placement
-	// usable end to end.
-	tb2, err := bench.NewTestbed(bench.Options{Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb2.Close()
-	if err := tb2.MS.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := tb2.MS.Placements()[utilID]; len(got) != 1 {
-		t.Fatalf("valid placement dropped: %v", got)
-	}
-}
-
 // TestRestoredGhostPlacementDoesNotBlackHole pins the routing half of
-// the stale-placement fix: a snapshot placement naming a TM that no
+// the stale-placement fix: a restored placement naming a TM that no
 // longer exists must not route requests into the ghost's queue (they
 // would hang until the full task timeout). Routing falls back to the
 // registered TMs, which answer fast — here with task_failed, because
 // the fresh site never deployed the servable.
 func TestRestoredGhostPlacementDoesNotBlackHole(t *testing.T) {
 	dir := t.TempDir()
-	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
+	tb, err := bench.NewTestbed(bench.Options{Nodes: 4, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,18 +161,21 @@ func TestRestoredGhostPlacementDoesNotBlackHole(t *testing.T) {
 	if err := tb.MS.Deploy(context.Background(), core.Anonymous, utilID, 1, "parsl"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.MS.SaveSnapshot(dir); err != nil {
+	if err := tb.MS.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	tb.Close() // "cooley-tm-1" is now a ghost
 
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
+	ms, _, _ := openRecovered(t, dir, 0)
+	// Placements are restored verbatim: at boot no TM has registered
+	// yet, so dropping unknown-TM placements here would drop every
+	// placement on every restart. Routing (pickTM) is what ignores
+	// placements naming unregistered TMs.
+	if got := ms.Placements()[utilID]; len(got) != 1 {
+		t.Fatalf("restored placement lost: %v", got)
+	}
 	newSite(t, ms, "fresh-tm")
 	if err := ms.WaitForTM(1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.LoadSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
 	// The placement names cooley-tm-1 (unregistered); the run must be
@@ -226,52 +193,12 @@ func TestRestoredGhostPlacementDoesNotBlackHole(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotFlushesCache pins that cached results from before the
-// load cannot be served after it.
-func TestLoadSnapshotFlushesCache(t *testing.T) {
-	dir := t.TempDir()
-	seed := core.New(core.Config{Registry: container.NewRegistry()})
-	if _, err := seed.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage()); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	seed.Close()
-
-	tb, err := bench.NewTestbed(bench.Options{Nodes: 4, ServiceCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-	id, err := tb.MS.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.MS.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.MS.Run(context.Background(), core.Anonymous, id, "NaCl", core.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := tb.MS.CacheStats(); st.Entries == 0 {
-		t.Fatal("setup: expected a warm cache entry")
-	}
-	if err := tb.MS.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	if st := tb.MS.CacheStats(); st.Entries != 0 {
-		t.Fatalf("cache entries survived the load: %+v", st)
-	}
-}
-
-// TestSaveSnapshotConcurrentMetadataUpdates races SaveSnapshot against
+// TestSaveSnapshotConcurrentMetadataUpdates races checkpoints against
 // UpdateMetadata; under -race this pins the deep-copy-under-lock fix
 // (the encoder must never serialize a document being mutated).
 func TestSaveSnapshotConcurrentMetadataUpdates(t *testing.T) {
 	dir := t.TempDir()
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
+	ms, kill, _ := openRecovered(t, dir, 0)
 	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
 	if err != nil {
 		t.Fatal(err)
@@ -291,16 +218,17 @@ func TestSaveSnapshotConcurrentMetadataUpdates(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if err := ms.SaveSnapshot(dir); err != nil {
-			t.Fatalf("save %d: %v", i, err)
+		if err := ms.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 	}
 	<-done
-	// The last snapshot must still round-trip.
-	ms2 := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms2.Close()
-	if err := ms2.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
+	want := ms.StateFingerprint()
+	kill()
+	// The last checkpoint plus its tail must still round-trip.
+	ms2, _, _ := openRecovered(t, dir, 0)
+	if got := ms2.StateFingerprint(); got != want {
+		t.Fatalf("recovered state differs\n--- want\n%s--- got\n%s", want, got)
 	}
 	if _, err := ms2.Get(core.Anonymous, id); err != nil {
 		t.Fatal(err)
@@ -308,37 +236,44 @@ func TestSaveSnapshotConcurrentMetadataUpdates(t *testing.T) {
 }
 
 func TestLoadSnapshotErrors(t *testing.T) {
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
-	if err := ms.LoadSnapshot(t.TempDir()); err == nil {
-		t.Fatal("missing snapshot should error")
+	// An empty directory is a fresh store, not an error.
+	_, _, info := openRecovered(t, t.TempDir(), 0)
+	if info.CheckpointLoaded || info.Replayed != 0 {
+		t.Fatalf("empty directory recovered something: %+v", info)
 	}
+
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "repository.gob"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.LoadSnapshot(dir); err == nil {
-		t.Fatal("corrupt snapshot should error")
+	w, err := store.Open(store.Options{Dir: dir, Sync: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ms := core.New(core.Config{Registry: container.NewRegistry(), Store: w})
+	defer ms.Close()
+	if _, err := ms.Recover(); err == nil {
+		t.Fatal("corrupt checkpoint should error")
 	}
 }
 
 func TestSnapshotAtomicNoTempLeftovers(t *testing.T) {
 	dir := t.TempDir()
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
+	ms, _, _ := openRecovered(t, dir, 0)
 	ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()) //nolint:errcheck
-	if err := ms.SaveSnapshot(dir); err != nil {
+	if err := ms.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "repository.gob" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("temp files left behind: %v", names)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	if strings.Join(names, ",") != "repository.gob,wal.log" {
+		t.Fatalf("want exactly repository.gob and wal.log, got %v", names)
 	}
 }

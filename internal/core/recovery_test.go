@@ -25,20 +25,25 @@ import (
 // restart with live deployments.
 
 // openRecovered boots a service over the store directory and replays
-// whatever is there.
-func openRecovered(t *testing.T, dir string, compactEvery int) (*core.Service, store.RecoveryInfo) {
+// whatever is there. kill stops the service and closes its WAL without
+// a checkpoint, which is what kill -9 leaves behind: once it returns,
+// nothing of the old service (its background compactor included)
+// touches the directory the next service opens. kill also runs at
+// cleanup; calling it twice is harmless.
+func openRecovered(t *testing.T, dir string, compactEvery int) (ms *core.Service, kill func(), info store.RecoveryInfo) {
 	t.Helper()
 	w, err := store.Open(store.Options{Dir: dir, Sync: false, CompactEvery: compactEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := core.New(core.Config{Registry: container.NewRegistry(), Store: w})
-	info, err := ms.Recover()
+	ms = core.New(core.Config{Registry: container.NewRegistry(), Store: w})
+	info, err = ms.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ms.Close(); w.Close() })
-	return ms, info
+	kill = func() { ms.Close(); w.Close() }
+	t.Cleanup(kill)
+	return ms, kill, info
 }
 
 // TestRecoveryRandomInterleaving is the property-style check: random
@@ -56,7 +61,7 @@ func TestRecoveryRandomInterleaving(t *testing.T) {
 			dir := t.TempDir()
 			// A tiny compaction threshold forces checkpoints to race the
 			// mutation stream, exercising the upsert replay semantics.
-			ms, _ := openRecovered(t, dir, 5)
+			ms, kill, _ := openRecovered(t, dir, 5)
 
 			var known []string
 			priorities := []string{"high", "normal", "low"}
@@ -138,9 +143,9 @@ func TestRecoveryRandomInterleaving(t *testing.T) {
 				want := ms.StateFingerprint()
 				// Kill: no shutdown checkpoint, the store is simply
 				// closed with its tail still in the log.
-				ms.Close()
+				kill()
 				var info store.RecoveryInfo
-				ms, info = openRecovered(t, dir, 5)
+				ms, kill, info = openRecovered(t, dir, 5)
 				if got := ms.StateFingerprint(); got != want {
 					t.Fatalf("cycle %d (replayed=%d): recovered state differs\n--- want\n%s--- got\n%s", cycle, info.Replayed, want, got)
 				}
@@ -164,7 +169,7 @@ func appendUnique(ids []string, id string) []string {
 // mutation — and report the truncation.
 func TestRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
-	ms, _ := openRecovered(t, dir, 0)
+	ms, kill, _ := openRecovered(t, dir, 0)
 
 	if _, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()); err != nil {
 		t.Fatal(err)
@@ -189,7 +194,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	if full == want {
 		t.Fatal("test broken: last mutation did not change the fingerprint")
 	}
-	ms.Close()
+	kill()
 
 	walPath := filepath.Join(dir, "wal.log")
 	data, err := os.ReadFile(walPath)
@@ -203,7 +208,7 @@ func TestRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms2, info := openRecovered(t, dir, 0)
+	ms2, _, info := openRecovered(t, dir, 0)
 	if !info.Truncated {
 		t.Fatal("torn tail not reported as truncated")
 	}
@@ -217,7 +222,7 @@ func TestRecoveryTornTail(t *testing.T) {
 // tenant keeps its previous quota — and tolerate the truncation.
 func TestRecoveryTornTenantRecord(t *testing.T) {
 	dir := t.TempDir()
-	ms, _ := openRecovered(t, dir, 0)
+	ms, kill, _ := openRecovered(t, dir, 0)
 
 	if _, err := ms.SetTenantQuota("acme", auth.Quota{MaxInFlight: 2, RatePerSec: 5, Priority: "high"}); err != nil {
 		t.Fatal(err)
@@ -231,7 +236,7 @@ func TestRecoveryTornTenantRecord(t *testing.T) {
 	if ms.StateFingerprint() == want {
 		t.Fatal("test broken: quota update did not change the fingerprint")
 	}
-	ms.Close()
+	kill()
 
 	walPath := filepath.Join(dir, "wal.log")
 	data, err := os.ReadFile(walPath)
@@ -242,7 +247,7 @@ func TestRecoveryTornTenantRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms2, info := openRecovered(t, dir, 0)
+	ms2, _, info := openRecovered(t, dir, 0)
 	if !info.Truncated {
 		t.Fatal("torn tail not reported as truncated")
 	}

@@ -105,20 +105,3 @@ func PostJSON(client *http.Client, url string, in, out any) error {
 	}
 	return json.Unmarshal(data, out)
 }
-
-// GetJSON issues a GET and decodes the JSON response into out.
-func GetJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxFrameSize))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("http %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-	}
-	return json.Unmarshal(data, out)
-}

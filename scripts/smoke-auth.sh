@@ -5,7 +5,7 @@
 #   1. a server started with -auth -data-dir answers 401 to any request
 #      without a bearer token — including one that tries the
 #      X-DLHub-Tenant development header (the shim is a rejected side
-#      door when auth is on, on v2 AND v1 routes);
+#      door when auth is on);
 #   2. an account registers, `dlhub login` obtains a token, and the
 #      token drives the API: whoami resolves the identity to its
 #      tenant, and `dlhub tenant set-quota` installs a durable quota;
@@ -40,8 +40,6 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/api/v2/tenants")
 [ "$code" = "401" ] || { echo "auth: unauthenticated v2 request got $code, want 401"; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' -H 'X-DLHub-Tenant: acme' "$BASE/api/v2/tenants")
 [ "$code" = "401" ] || { echo "auth: header-spoofed v2 request got $code, want 401"; exit 1; }
-code=$(curl -s -o /dev/null -w '%{http_code}' -H 'X-DLHub-Tenant: acme' "$BASE/api/servables")
-[ "$code" = "401" ] || { echo "auth: header-spoofed v1 request got $code, want 401"; exit 1; }
 echo "auth: anonymous and header-spoofed requests rejected"
 
 # --- 2: register, login, durable quota ---------------------------------------

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# v2-only smoke: boot the server with -disable-v1 and prove that
+# v2-only smoke: boot the server and prove that
 #
-#   1. every retired v1 route answers 410 Gone (a deliberate retirement
-#      signal, not a generic 404) while the Deprecation headers still
-#      point at the successor version;
+#   1. the removed v1 routes answer 404 — nothing is served outside
+#      /api/v2;
 #   2. the complete publish → deploy → run → stats flow works over
-#      /api/v2 alone — nothing in the serving path still leans on a
-#      v1 shim;
+#      /api/v2 alone;
 #   3. the multi-tenant QoS surface rides the same v2-only server:
 #      `dlhub tenant set-quota` / `tenant ls` round-trip a quota
 #      through PUT /api/v2/tenants/{id}/quota, a tenant flooding past
@@ -22,24 +20,23 @@ BASE=http://$HTTP
 
 build_bins dlhub-server dlhub-taskmanager dlhub
 
-"$SMOKE_BIN/dlhub-server" -http "$HTTP" -queue "$QUEUE" -disable-v1 &
+"$SMOKE_BIN/dlhub-server" -http "$HTTP" -queue "$QUEUE" &
 wait_for_healthy "$BASE"
 "$SMOKE_BIN/dlhub-taskmanager" -queue "$QUEUE" -id v2only-tm-1 -nodes 2 -heartbeat 300ms &
 wait_for_ready "$BASE"
 wait_for_tm "$BASE" v2only-tm-1
 
-echo "== retired v1 routes answer 410 Gone =="
+echo "== removed v1 routes answer 404 =="
 for route in "GET /api/servables" "POST /api/search" "GET /api/tms" "GET /api/cache/stats"; do
   method=${route%% *}
   path=${route##* }
-  code=$(curl -s -o "$SMOKE_WORK/v1.json" -w '%{http_code}' -X "$method" "$BASE$path")
-  if [ "$code" != "410" ]; then
-    echo "v2only: $route -> $code, want 410" >&2
+  code=$(curl -s -o /dev/null -w '%{http_code}' -X "$method" "$BASE$path")
+  if [ "$code" != "404" ]; then
+    echo "v2only: $route -> $code, want 404" >&2
     exit 1
   fi
-  grep -q '/api/v2' "$SMOKE_WORK/v1.json" || { echo "v2only: 410 body does not point at /api/v2"; exit 1; }
 done
-echo "v2only: v1 surface is gone (410)"
+echo "v2only: v1 surface is gone (404)"
 
 echo "== the full flow works over /api/v2 alone =="
 export DLHUB_SERVER=$BASE
