@@ -146,7 +146,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("http listen: %v", err)
 	}
-	srv := &http.Server{Handler: ms.Handler()}
+	srv := newHTTPServer(ms.Handler())
 	go func() {
 		if err := srv.Serve(hl); err != http.ErrServerClosed {
 			log.Printf("http server stopped: %v", err)
@@ -180,4 +180,20 @@ func main() {
 		}
 	}
 	fmt.Println("dlhub-server: shutting down")
+}
+
+// HTTP connection deadlines. A client gets readHeaderTimeout to send a
+// request's headers, so a peer that opens a connection and trickles
+// (or never finishes) a header cannot hold it forever; a keep-alive
+// connection idle for idleTimeout is closed. There is deliberately no
+// WriteTimeout: the SSE stream at /api/v2/tasks/{id}/events is
+// long-lived, and a write deadline would cut it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the REST server with its connection deadlines.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

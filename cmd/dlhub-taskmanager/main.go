@@ -53,7 +53,7 @@ func main() {
 	runtime.RegisterProcess(tfserving.Entrypoint, tfserving.NewProcessFactory())
 	runtime.RegisterProcess(sagemaker.Entrypoint, sagemaker.NewProcessFactory())
 	cluster := k8s.NewCluster(runtime, *nodes, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
-	clusterLink := netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.LinkBandwidth)
+	clusterLink := netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.BW(simconst.LinkBandwidth))
 
 	execs := map[string]executor.Executor{}
 	for _, name := range strings.Split(*executors, ",") {

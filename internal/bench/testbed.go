@@ -132,6 +132,18 @@ type Testbed struct {
 	siteOrder []string
 }
 
+// wanLink is the emulated EC2 <-> Cooley link (20.7 ms RTT, WAN
+// bandwidth) and clusterLink the Cooley <-> PetrelKube one (0.17 ms,
+// 40GbE). Both terms compress with simconst.Scale, so at Scale = +Inf
+// they are zero-cost and their conns write inline.
+func wanLink() netsim.Profile {
+	return netsim.RTT(simconst.D(simconst.RTTManagementToTM), simconst.BW(simconst.WANBandwidth))
+}
+
+func clusterLink() netsim.Profile {
+	return netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.BW(simconst.LinkBandwidth))
+}
+
 // NewTestbed assembles a deployment per opts.
 func NewTestbed(opts Options) (*Testbed, error) {
 	if opts.Nodes <= 0 {
@@ -153,7 +165,7 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	tb.Cluster = k8s.NewCluster(tb.Runtime, opts.Nodes, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
 
 	// TM <-> cluster link (0.17 ms RTT, 40GbE).
-	tmClusterLink := netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.LinkBandwidth)
+	tmClusterLink := clusterLink()
 
 	// Executors at the TM site.
 	tb.execs["parsl"] = executor.NewParsl(tb.Cluster, builder, tmClusterLink)
@@ -221,8 +233,7 @@ func NewTestbed(opts Options) (*Testbed, error) {
 		// Shape BOTH ends so a request/reply exchange pays the full
 		// measured 20.7 ms RTT (each end delays its outbound leg by
 		// half the RTT).
-		wan := netsim.RTT(simconst.D(simconst.RTTManagementToTM), simconst.WANBandwidth)
-		go tb.queueSrv.Serve(netsim.NewListener(l, wan)) //nolint:errcheck
+		go tb.queueSrv.Serve(netsim.NewListener(l, wanLink())) //nolint:errcheck
 		tb.queueAddr = l.Addr().String()
 	}
 
@@ -246,12 +257,11 @@ func (tb *Testbed) connectQueue() (taskmanager.QueueAPI, *queue.Client, error) {
 	if tb.queueAddr == "" {
 		return taskmanager.BrokerAdapter{B: tb.MS.Broker()}, nil, nil
 	}
-	wan := netsim.RTT(simconst.D(simconst.RTTManagementToTM), simconst.WANBandwidth)
 	conn, err := net.Dial("tcp", tb.queueAddr)
 	if err != nil {
 		return nil, nil, err
 	}
-	client := queue.NewClient(netsim.Wrap(conn, wan))
+	client := queue.NewClient(netsim.Wrap(conn, wanLink()))
 	return client, client, nil
 }
 
@@ -302,8 +312,7 @@ func (tb *Testbed) AddTM(id string, nodes int) (*taskmanager.TM, error) {
 	rt := container.NewRuntime(registry)
 	rt.RegisterProcess("dlhub-ipp-engine", executor.NewPodProcessFactory(true))
 	cluster := k8s.NewCluster(rt, nodes, k8s.Resources{MilliCPU: 32000, MemMB: 64 * 1024})
-	link := netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.LinkBandwidth)
-	parsl := executor.NewParsl(cluster, container.NewBuilder(registry), link)
+	parsl := executor.NewParsl(cluster, container.NewBuilder(registry), clusterLink())
 
 	st := &site{execs: map[string]executor.Executor{"parsl": parsl}, pullers: 8}
 	if err := tb.startSite(id, st); err != nil {
@@ -420,8 +429,7 @@ func (tb *Testbed) RestartMS() error {
 		if err != nil {
 			return err
 		}
-		wan := netsim.RTT(simconst.D(simconst.RTTManagementToTM), simconst.WANBandwidth)
-		go tb.queueSrv.Serve(netsim.NewListener(l, wan)) //nolint:errcheck
+		go tb.queueSrv.Serve(netsim.NewListener(l, wanLink())) //nolint:errcheck
 		tb.queueAddr = l.Addr().String()
 	}
 	for _, id := range tb.siteOrder {

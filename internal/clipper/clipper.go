@@ -260,7 +260,7 @@ func (s *System) Deploy(pkg *servable.Package, replicas int) error {
 // cluster-internal link.
 func (s *System) reattach(servableID, depName string) error {
 	pods := s.cluster.PodsMatching(map[string]string{"deployment": depName})
-	clusterLink := netsim.RTT(simconst.D(simconst.ClusterInternalRTT), simconst.LinkBandwidth)
+	clusterLink := netsim.RTT(simconst.D(simconst.ClusterInternalRTT), simconst.BW(simconst.LinkBandwidth))
 	var conns []*rpc.Client
 	for _, pod := range pods {
 		client, err := executor.DialPod(pod, clusterLink)

@@ -10,6 +10,13 @@
 // after oneWayDelay + size/bandwidth has elapsed, preserving ordering.
 // Wrapping both ends of a connection therefore yields the full RTT for a
 // request/response exchange, exactly like the real links.
+//
+// Callers build profiles from simconst with both terms scaled
+// (simconst.D for the RTT, simconst.BW for the bandwidth), so time
+// compression shrinks serialization like every other injected latency.
+// A profile with no delay and no bandwidth limit is zero-cost: its Conn
+// writes inline in the caller's goroutine and starts no pump, so a
+// fully compressed link costs exactly a plain socket write.
 package netsim
 
 import (
@@ -31,12 +38,18 @@ func RTT(rtt time.Duration, bandwidth float64) Profile {
 	return Profile{OneWay: rtt / 2, Bandwidth: bandwidth}
 }
 
+// ZeroCost reports whether the profile injects nothing: no propagation
+// delay and no serialization.
+func (p Profile) ZeroCost() bool { return p.OneWay <= 0 && p.Bandwidth <= 0 }
+
 // Conn wraps a net.Conn, delaying outbound bytes per the profile.
 // Reads pass through untouched (the peer's Conn delays its own writes).
 type Conn struct {
 	net.Conn
 	p Profile
 
+	// mu guards release; on a zero-cost Conn it instead serializes the
+	// inline writes, keeping each Write's bytes contiguous.
 	mu sync.Mutex
 	// release is the virtual time at which the link becomes free: the
 	// serialization of earlier writes must finish before later bytes
@@ -44,11 +57,12 @@ type Conn struct {
 	release time.Time
 
 	closeOnce sync.Once
-	sendq     chan delayedChunk
-	done      chan struct{}
-	wg        sync.WaitGroup
-	writeErr  error
-	errMu     sync.Mutex
+	// sendq feeds the pump; nil on a zero-cost Conn, which has none.
+	sendq    chan delayedChunk
+	done     chan struct{}
+	wg       sync.WaitGroup
+	writeErr error
+	errMu    sync.Mutex
 }
 
 type delayedChunk struct {
@@ -57,14 +71,14 @@ type delayedChunk struct {
 }
 
 // Wrap shapes conn with profile p. A background goroutine owns all
-// writes to the underlying connection; Close stops it.
+// writes to the underlying connection; Close stops it. A zero-cost
+// profile starts no goroutine: writes go straight to conn.
 func Wrap(conn net.Conn, p Profile) *Conn {
-	c := &Conn{
-		Conn:  conn,
-		p:     p,
-		sendq: make(chan delayedChunk, 1024),
-		done:  make(chan struct{}),
+	c := &Conn{Conn: conn, p: p, done: make(chan struct{})}
+	if p.ZeroCost() {
+		return c
 	}
+	c.sendq = make(chan delayedChunk, 1024)
 	c.wg.Add(1)
 	go c.pump()
 	return c
@@ -106,12 +120,18 @@ func (c *Conn) pump() {
 
 // Write queues p for delayed delivery. It returns immediately (the link
 // has infinite ingress buffering), reporting a previous asynchronous
-// write error if one occurred.
+// write error if one occurred. On a zero-cost Conn it writes p to the
+// underlying connection before returning.
 func (c *Conn) Write(p []byte) (int, error) {
 	select {
 	case <-c.done:
 		return 0, net.ErrClosed
 	default:
+	}
+	if c.sendq == nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.Conn.Write(p)
 	}
 	c.errMu.Lock()
 	err := c.writeErr

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -148,6 +149,79 @@ func TestOrderingPreservedUnderConcurrentWrites(t *testing.T) {
 			t.Fatalf("out of order at %d: got %d", i, got[i])
 		}
 	}
+}
+
+// TestZeroCostWritesInline: a profile with no delay and no bandwidth
+// limit starts no pump goroutine, and each Write has reached the socket
+// by the time it returns.
+func TestZeroCostWritesInline(t *testing.T) {
+	c, s := pipePair(t)
+	if !(Profile{}).ZeroCost() || RTT(0, 0) != (Profile{}) {
+		t.Fatal("empty profile must be zero-cost")
+	}
+	if (Profile{Bandwidth: 1e9}).ZeroCost() || (Profile{OneWay: time.Microsecond}).ZeroCost() {
+		t.Fatal("a delay or a bandwidth limit is not zero-cost")
+	}
+	before := runtime.NumGoroutine()
+	wc := Wrap(c, Profile{})
+	defer wc.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("zero-cost Wrap started %d goroutines", after-before)
+	}
+	if wc.sendq != nil {
+		t.Fatal("zero-cost Conn has a send queue")
+	}
+	if n, err := wc.Write([]byte("inline")); n != 6 || err != nil {
+		t.Fatalf("write: n=%d err=%v", n, err)
+	}
+	got := make([]byte, 6)
+	s.SetReadDeadline(time.Now().Add(time.Second)) //nolint:errcheck
+	if _, err := io.ReadFull(s, got); err != nil || string(got) != "inline" {
+		t.Fatalf("inline write not on the wire: %q %v", got, err)
+	}
+}
+
+// TestZeroCostOrderingUnderConcurrentWriters: inline writes from many
+// goroutines never interleave — every record arrives contiguous, and
+// each writer's records arrive in the order it wrote them.
+func TestZeroCostOrderingUnderConcurrentWriters(t *testing.T) {
+	c, s := pipePair(t)
+	wc := Wrap(c, Profile{})
+	defer wc.Close()
+	const writers, perWriter, recLen = 8, 200, 64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				rec := bytes.Repeat([]byte{byte(w)}, recLen)
+				rec[1] = byte(i)
+				if _, err := wc.Write(rec); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	next := make([]int, writers)
+	rec := make([]byte, recLen)
+	for n := 0; n < writers*perWriter; n++ {
+		if _, err := io.ReadFull(s, rec); err != nil {
+			t.Fatal(err)
+		}
+		w := int(rec[0])
+		if w >= writers || int(rec[1]) != next[w]%256 {
+			t.Fatalf("record %d: writer %d seq %d, want seq %d", n, w, rec[1], next[w])
+		}
+		for i := 2; i < recLen; i++ {
+			if rec[i] != byte(w) {
+				t.Fatalf("record %d interleaved with another writer's bytes", n)
+			}
+		}
+		next[w]++
+	}
+	wg.Wait()
 }
 
 func TestCloseIsIdempotent(t *testing.T) {

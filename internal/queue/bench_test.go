@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"net"
 	"testing"
 	"time"
 )
@@ -58,4 +59,46 @@ func BenchmarkConcurrentProducersConsumers(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTransportTaskCycle is one remote consumer step over loopback
+// TCP: the producer pushes a task, and the consumer's single Reply call
+// answers the previous task, acks it and returns this one.
+func BenchmarkTransportTaskCycle(b *testing.B) {
+	br := NewBroker(time.Minute)
+	defer br.Close()
+	srv := NewServer(br)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(l) //nolint:errcheck
+	defer srv.Close()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewClient(conn)
+	defer c.Close()
+
+	body := make([]byte, 256)
+	br.Push("tasks", body, "replies", "", "")
+	msg, ok, err := c.Pull("tasks", time.Second)
+	if err != nil || !ok {
+		b.Fatalf("pull: ok=%v err=%v", ok, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br.Push("tasks", body, "replies", "", "")
+		msg, ok, err = c.Reply(msg, body, "tasks", time.Second)
+		if err != nil || !ok {
+			b.Fatalf("reply: ok=%v err=%v", ok, err)
+		}
+		rep, ok := br.Pull("replies", 0)
+		if !ok {
+			b.Fatal("reply missing")
+		}
+		br.Ack("replies", rep.ID)
+	}
 }

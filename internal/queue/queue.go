@@ -9,6 +9,9 @@
 // with per-message ReplyTo queues, mirroring the paper's flow where Task
 // Managers "retrieve waiting tasks from the queue, unpackage the
 // request, execute the task, and return the results via the same queue."
+// A consumer's reply, the ack of its request and the pull of its next
+// message travel as one call (ReplyNext; the queue.reply RPC remotely),
+// so a busy remote consumer costs one round trip per message.
 //
 // Fairness: each named queue is internally striped into per-tenant
 // lanes, drained by deficit round-robin (DRR) weighted by the tenant's
@@ -630,4 +633,18 @@ func (b *Broker) Reply(msg Message, body []byte) {
 		b.Push(msg.ReplyTo, body, "", msg.CorrelationID, msg.Tenant)
 	}
 	b.Ack(msg.Queue, msg.ID)
+}
+
+// ReplyNext is a consumer's whole per-message step: Reply to msg (push
+// body onto its ReplyTo queue and ack it), then, when next is
+// non-empty, Pull the consumer's next message from that queue, waiting
+// up to timeout. The returned message is claimed like any Pull
+// delivery: unacked, it is redelivered after the visibility timeout.
+// With an empty next nothing is pulled and ok is false.
+func (b *Broker) ReplyNext(msg Message, body []byte, next string, timeout time.Duration) (Message, bool) {
+	b.Reply(msg, body)
+	if next == "" {
+		return Message{}, false
+	}
+	return b.Pull(next, timeout)
 }

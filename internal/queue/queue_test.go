@@ -291,7 +291,7 @@ func TestTransportRequestReply(t *testing.T) {
 		if err != nil || !ok {
 			return
 		}
-		consumer.Reply(msg, []byte("pong")) //nolint:errcheck
+		consumer.Reply(msg, []byte("pong"), "", 0) //nolint:errcheck
 	}()
 
 	out, ok, err := c.Request("svc", []byte("ping"), 2*time.Second)
@@ -300,6 +300,63 @@ func TestTransportRequestReply(t *testing.T) {
 	}
 	if string(out) != "pong" {
 		t.Fatalf("wrong reply %q", out)
+	}
+}
+
+// TestTransportReplyNext: one remote Reply acks the original, delivers
+// the reply body with the request's correlation ID and tenant, and
+// returns the consumer's next message already claimed; with an empty
+// next it pulls nothing.
+func TestTransportReplyNext(t *testing.T) {
+	b := NewBroker(time.Minute)
+	defer b.Close()
+	c := startTransport(t, b)
+
+	b.Push("tasks", []byte("first"), "replies", "corr-1", "acme")
+	b.Push("tasks", []byte("second"), "replies", "corr-2", "acme")
+	msg, ok, err := c.Pull("tasks", time.Second)
+	if err != nil || !ok || string(msg.Body) != "first" {
+		t.Fatalf("pull: %q ok=%v err=%v", msg.Body, ok, err)
+	}
+	next, ok, err := c.Reply(msg, []byte("answer-1"), "tasks", time.Second)
+	if err != nil || !ok {
+		t.Fatalf("reply: ok=%v err=%v", ok, err)
+	}
+	if string(next.Body) != "second" || next.CorrelationID != "corr-2" || next.Attempt != 1 {
+		t.Fatalf("next message wrong: %+v", next)
+	}
+	// The original is acked; the next message is claimed in its place.
+	if n := b.InFlight("tasks"); n != 1 {
+		t.Fatalf("in flight after reply = %d, want 1 (only the next message)", n)
+	}
+	if b.Len("tasks") != 0 {
+		t.Fatal("next message still ready: it was not claimed")
+	}
+	rep, ok := b.Pull("replies", time.Second)
+	if !ok || string(rep.Body) != "answer-1" || rep.CorrelationID != "corr-1" || rep.Tenant != "acme" {
+		t.Fatalf("reply delivery wrong: %+v ok=%v", rep, ok)
+	}
+
+	// Empty next: reply and ack only, nothing pulled.
+	b.Push("tasks", []byte("third"), "", "", "")
+	none, ok, err := c.Reply(next, []byte("answer-2"), "", time.Second)
+	if err != nil || ok || none.ID != "" {
+		t.Fatalf("reply with empty next pulled %+v ok=%v err=%v", none, ok, err)
+	}
+	if b.InFlight("tasks") != 0 || b.Len("tasks") != 1 {
+		t.Fatalf("empty next: in flight %d ready %d, want 0 and 1", b.InFlight("tasks"), b.Len("tasks"))
+	}
+	if rep, ok := b.Pull("replies", time.Second); !ok || string(rep.Body) != "answer-2" {
+		t.Fatalf("second reply missing: %+v", rep)
+	}
+
+	// A next queue that stays empty times out with ok false.
+	msg, _, _ = c.Pull("tasks", time.Second)
+	if _, ok, err := c.Reply(msg, nil, "tasks", 20*time.Millisecond); err != nil || ok {
+		t.Fatalf("reply on an empty next queue: ok=%v err=%v", ok, err)
+	}
+	if b.InFlight("tasks") != 0 {
+		t.Fatal("reply without ReplyTo must still ack")
 	}
 }
 

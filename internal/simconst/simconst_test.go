@@ -1,6 +1,7 @@
 package simconst
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -32,6 +33,26 @@ func TestScaleD(t *testing.T) {
 	Scale = 1000
 	if D(time.Second) != time.Millisecond {
 		t.Fatalf("scale 1000 wrong: %v", D(time.Second))
+	}
+}
+
+func TestScaleBW(t *testing.T) {
+	old := Scale
+	defer func() { Scale = old }()
+
+	Scale = 1
+	if BW(LinkBandwidth) != LinkBandwidth {
+		t.Fatal("scale 1 must be identity")
+	}
+	Scale = 10
+	// Serialization time size/BW must compress like D compresses a delay.
+	ser := func(bw float64) time.Duration { return time.Duration(1e6 / bw * float64(time.Second)) }
+	if got, want := ser(BW(WANBandwidth)), D(ser(WANBandwidth)); got != want {
+		t.Fatalf("scale 10: serialization %v, want %v", got, want)
+	}
+	Scale = math.Inf(1)
+	if BW(WANBandwidth) != 0 || D(RTTManagementToTM) != 0 {
+		t.Fatalf("scale +Inf must make links zero-cost: bw=%v rtt=%v", BW(WANBandwidth), D(RTTManagementToTM))
 	}
 }
 

@@ -130,8 +130,10 @@ type Registration struct {
 type QueueAPI interface {
 	Push(queueName string, body []byte, replyTo, correlationID, tenant string) (string, error)
 	Pull(queueName string, timeout time.Duration) (queue.Message, bool, error)
-	Ack(queueName, msgID string) error
-	Reply(msg queue.Message, body []byte) error
+	// Reply answers and acks msg in one call and, when next is
+	// non-empty, returns (already claimed) the next message on that
+	// queue, waiting up to timeout: one queue call per task.
+	Reply(msg queue.Message, body []byte, next string, timeout time.Duration) (queue.Message, bool, error)
 }
 
 // BrokerAdapter adapts an in-process *queue.Broker to QueueAPI.
@@ -148,11 +150,11 @@ func (a BrokerAdapter) Pull(q string, timeout time.Duration) (queue.Message, boo
 	return msg, ok, nil
 }
 
-// Ack implements QueueAPI.
-func (a BrokerAdapter) Ack(q, id string) error { a.B.Ack(q, id); return nil }
-
 // Reply implements QueueAPI.
-func (a BrokerAdapter) Reply(msg queue.Message, body []byte) error { a.B.Reply(msg, body); return nil }
+func (a BrokerAdapter) Reply(msg queue.Message, body []byte, next string, timeout time.Duration) (queue.Message, bool, error) {
+	msg, ok := a.B.ReplyNext(msg, body, next, timeout)
+	return msg, ok, nil
+}
 
 // Config configures a Task Manager.
 type Config struct {
@@ -351,43 +353,61 @@ func (tm *TM) Kill() {
 	tm.wg.Wait()
 }
 
+// pollTimeout bounds one long-poll of the task queue, so a stopping TM
+// notices within that long.
+const pollTimeout = 500 * time.Millisecond
+
+// pullLoop serves the task queue. Pull is called only while the loop
+// holds no message: every reply also asks for the next task, so a busy
+// TM spends exactly one queue call per task. Once stopping, the reply
+// asks for nothing more — a message the broker hands over while the
+// reply was already parked is still handled, never dropped claimed.
 func (tm *TM) pullLoop() {
 	defer tm.wg.Done()
 	qname := TaskQueue(tm.cfg.ID)
+	var (
+		msg  queue.Message
+		have bool
+	)
 	for {
+		if !have {
+			select {
+			case <-tm.stop:
+				return
+			default:
+			}
+			var err error
+			msg, have, err = tm.cfg.Queue.Pull(qname, pollTimeout)
+			if err != nil {
+				// Connection failure: back off briefly, keep trying (the
+				// queue provides at-least-once redelivery).
+				time.Sleep(50 * time.Millisecond)
+				continue
+			}
+			if !have {
+				continue
+			}
+		}
+		rep := tm.handle(msg)
+		next := qname
 		select {
 		case <-tm.stop:
-			return
+			next = ""
 		default:
 		}
-		msg, ok, err := tm.cfg.Queue.Pull(qname, 500*time.Millisecond)
-		if err != nil {
-			// Connection failure: back off briefly, keep trying (the
-			// queue provides at-least-once redelivery).
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		tm.handle(msg)
+		msg, have = tm.reply(msg, rep, next)
 	}
 }
 
-func (tm *TM) handle(msg queue.Message) {
+// handle executes one task and returns its reply.
+func (tm *TM) handle(msg queue.Message) Reply {
 	var task Task
 	if err := json.Unmarshal(msg.Body, &task); err != nil {
-		tm.reply(msg, Reply{OK: false, Error: "bad task: " + err.Error()})
-		return
+		return Reply{OK: false, Error: "bad task: " + err.Error()}
 	}
 	tm.statMu.Lock()
 	tm.active++
 	tm.statMu.Unlock()
-	defer func() {
-		tm.statMu.Lock()
-		tm.active--
-		tm.statMu.Unlock()
-	}()
 	start := time.Now()
 	var rep Reply
 	switch task.Kind {
@@ -416,26 +436,31 @@ func (tm *TM) handle(msg queue.Message) {
 	if rep.InvocationMicros == 0 {
 		rep.InvocationMicros = invocationMicros(start)
 	}
-	tm.reply(msg, rep)
 	tm.statMu.Lock()
+	tm.active--
 	tm.completed++
 	tm.statMu.Unlock()
+	return rep
 }
 
-func (tm *TM) reply(msg queue.Message, rep Reply) {
+// reply sends rep for msg and, when next is non-empty, returns the next
+// task from that queue in the same queue call.
+func (tm *TM) reply(msg queue.Message, rep Reply, next string) (queue.Message, bool) {
 	tm.statMu.Lock()
 	killed := tm.killed
 	tm.statMu.Unlock()
 	if killed {
 		// A kill -9 victim sends nothing; the claimed message must look
 		// lost so the watchdog-and-purge path owns the recovery.
-		return
+		return queue.Message{}, false
 	}
 	body, err := json.Marshal(rep)
 	if err != nil {
 		body, _ = json.Marshal(Reply{TaskID: rep.TaskID, OK: false, Error: "unserializable reply: " + err.Error()})
 	}
-	tm.cfg.Queue.Reply(msg, body) //nolint:errcheck — redelivery handles loss
+	// On error the loop falls back to Pull; redelivery handles a lost reply.
+	nextMsg, ok, err := tm.cfg.Queue.Reply(msg, body, next, pollTimeout)
+	return nextMsg, ok && err == nil
 }
 
 func (tm *TM) executorFor(task *Task) (executor.Executor, error) {
